@@ -42,14 +42,17 @@ modcheck:
 # cache.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -count=1 -timeout 5m ./internal/pipeline ./internal/artifact ./internal/serve ./internal/obs ./internal/journal ./internal/iofault ./internal/sim ./cmd/htload
+	$(GO) test -race -count=1 -timeout 5m ./internal/pipeline ./internal/artifact ./internal/serve ./internal/obs ./internal/journal ./internal/iofault ./internal/sim ./internal/atpg ./internal/compat ./cmd/htload
 
 # Short fuzz smoke: each native fuzz target runs briefly so a parser
 # regression that panics or hangs on malformed input fails the gate.
+# FuzzPODEM checks event-driven implication against full evaluation and
+# PODEM's verdicts against exhaustive enumeration on random circuits.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/vparse
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzPODEM$$' -fuzztime 5s ./internal/atpg
 
 # End-to-end daemon check: build the real htserved binary, run a c17
 # generation job over HTTP, SIGTERM, and require a clean drain. Always

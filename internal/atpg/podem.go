@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"fmt"
+	"slices"
 
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
@@ -73,12 +74,22 @@ const DefaultMaxBacktracks = 4000
 // (backtrace guidance), the topological order, and the
 // distance-to-observation map used to steer D-frontier selection.
 //
+// Implication is event-driven: each run evaluates its cone once, and
+// every later decision, flip or undo re-evaluates only the fanout of
+// the inputs that changed, level by level, stopping wherever a value
+// does not change. The planes come out exactly as a full re-evaluation
+// of the cone would leave them, so the search takes the same decisions.
+//
 // An Engine is not safe for concurrent use; create one per goroutine.
 type Engine struct {
 	n        *netlist.Netlist
 	inputs   []netlist.GateID
-	inputPos map[netlist.GateID]int
+	inputPos []int32 // by GateID: position in inputs, -1 for other gates
 	topo     []netlist.GateID
+	topoPos  []int32 // by GateID: index in topo
+	level    []int32 // by GateID: logic level (sources 0)
+	outs     []netlist.GateID
+	isOut    []bool // by GateID: gate is in outs
 	sc       *scoap.Measures
 	obsDist  []int32 // min #gates to an observable net; -1 if none
 
@@ -91,17 +102,33 @@ type Engine struct {
 	// scratch
 	good    []sim.V3
 	faulty  []sim.V3
-	assign  []sim.V3 // by input position
-	faninV3 []sim.V3
+	assign  []sim.V3         // by input position
 	relev   []bool           // gates relevant to the current target
 	order   []netlist.GateID // topo order restricted to relev
 	obsList []netlist.GateID // observable outputs within relev
-	coneBuf []netlist.GateID // BFS scratch
+	coneBuf []netlist.GateID // cone collection scratch
+
+	// event-driven implication
+	fresh   bool               // the next implication evaluates the whole cone
+	dirty   []int32            // input positions assigned since the last implication
+	queued  []bool             // by GateID: waiting in a level bucket
+	buckets [][]netlist.GateID // gates to re-evaluate, by level
+	lo, hi  int32              // occupied bucket range
+
+	// D-frontier and X-path scratch
+	frontier []netlist.GateID
+	xstack   []netlist.GateID
+	seen     []uint32 // by GateID: visit stamp of the last X-path search
+	stamp    uint32
 
 	// Stats accumulates counters across calls.
 	Stats Stats
 
 	met *meters
+
+	// implied, if set, runs after every implication (tests compare the
+	// planes against a full re-evaluation there).
+	implied func(site netlist.GateID, stuck sim.V3, propagate bool)
 }
 
 // Stats counts PODEM work, for the time-complexity analysis benches.
@@ -121,22 +148,45 @@ func NewEngine(n *netlist.Netlist) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	num := len(n.Gates)
 	inputs := n.CombInputs()
-	pos := make(map[netlist.GateID]int, len(inputs))
-	for i, id := range inputs {
-		pos[id] = i
-	}
 	e := &Engine{
 		n:             n,
 		inputs:        inputs,
-		inputPos:      pos,
+		inputPos:      make([]int32, num),
 		topo:          topo,
+		topoPos:       make([]int32, num),
+		level:         make([]int32, num),
+		outs:          n.CombOutputs(),
+		isOut:         make([]bool, num),
 		sc:            sc,
 		MaxBacktracks: DefaultMaxBacktracks,
-		good:          make([]sim.V3, len(n.Gates)),
-		faulty:        make([]sim.V3, len(n.Gates)),
+		good:          make([]sim.V3, num),
+		faulty:        make([]sim.V3, num),
 		assign:        make([]sim.V3, len(inputs)),
+		relev:         make([]bool, num),
+		queued:        make([]bool, num),
+		seen:          make([]uint32, num),
 		met:           defaultMeters,
+	}
+	for i := range e.inputPos {
+		e.inputPos[i] = -1
+	}
+	for i, id := range inputs {
+		e.inputPos[id] = int32(i)
+	}
+	var maxLevel int32
+	for i, id := range topo {
+		e.topoPos[id] = int32(i)
+		l := n.Gates[id].Level
+		e.level[id] = l
+		if l > maxLevel {
+			maxLevel = l
+		}
+	}
+	e.buckets = make([][]netlist.GateID, maxLevel+1)
+	for _, id := range e.outs {
+		e.isOut[id] = true
 	}
 	e.computeObsDist()
 	return e, nil
@@ -166,7 +216,7 @@ func (e *Engine) computeObsDist() {
 			queue = append(queue, id)
 		}
 	}
-	for _, id := range n.CombOutputs() {
+	for _, id := range e.outs {
 		push(id, 0)
 	}
 	for len(queue) > 0 {
@@ -221,9 +271,9 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	}
 
 	// Trivial case: the target is itself an input.
-	if pos, isInput := e.inputPos[target]; isInput {
+	if pos := e.inputPos[target]; pos >= 0 {
 		cube := NewCube(len(e.inputs))
-		cube.Set(pos, wantV)
+		cube.Set(int(pos), wantV)
 		if !propagate {
 			return cube, Success
 		}
@@ -237,6 +287,8 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	// and the justification cones of everything on those paths. This
 	// makes each implication O(cone) instead of O(circuit).
 	e.prepareCone(target, propagate)
+	e.fresh = true
+	e.dirty = e.dirty[:0]
 
 	var stack []decision
 	backtracks := 0
@@ -257,7 +309,7 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 			if objNode, objVal, found := e.objective(target, wantV, propagate); found {
 				pos, val := e.backtrace(objNode, objVal)
 				stack = append(stack, decision{pos: pos, val: val})
-				e.assign[pos] = val
+				e.setInput(pos, val)
 				advanced = true
 			}
 		}
@@ -281,79 +333,111 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 				}
 				top.flipped = true
 				top.val ^= 1
-				e.assign[top.pos] = top.val
+				e.setInput(top.pos, top.val)
 				break
 			}
-			e.assign[top.pos] = sim.V3X
+			e.setInput(top.pos, sim.V3X)
 			stack = stack[:len(stack)-1]
 		}
 	}
 }
 
-// imply recomputes the good (and, when propagate, faulty) plane from the
-// current input assignment.
+// setInput assigns input position pos and records it for the next
+// implication.
+func (e *Engine) setInput(pos int, v sim.V3) {
+	e.assign[pos] = v
+	e.dirty = append(e.dirty, int32(pos))
+}
+
+// imply brings the good (and, when propagate, faulty) plane up to date
+// with the current input assignment: the whole cone on the first
+// implication of a run, afterwards only the fanout of the inputs
+// assigned since the last one.
 func (e *Engine) imply(site netlist.GateID, stuck sim.V3, propagate bool) {
 	e.Stats.Implies++
 	e.met.implies.Inc()
-	e.evalPlane(e.good, netlist.InvalidGate, sim.V3X)
-	if propagate {
-		e.evalPlane(e.faulty, site, stuck)
+	if e.fresh {
+		e.fresh = false
+		e.evalPlane(e.good, netlist.InvalidGate, sim.V3X)
+		if propagate {
+			e.evalPlane(e.faulty, site, stuck)
+		}
+	} else {
+		e.propagateEvents(e.good, netlist.InvalidGate, sim.V3X)
+		if propagate {
+			e.propagateEvents(e.faulty, site, stuck)
+		}
+	}
+	e.dirty = e.dirty[:0]
+	if e.implied != nil {
+		e.implied(site, stuck, propagate)
 	}
 }
 
 // prepareCone computes the relevant gate set, the restricted evaluation
-// order and the in-cone observable outputs for one PODEM run.
+// order and the in-cone observable outputs for one PODEM run. Only the
+// previous cone is cleared and only the new one ordered, so the cost
+// follows the cones, not the circuit.
 func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
-	n := e.n
-	if e.relev == nil {
-		e.relev = make([]bool, len(n.Gates))
-	} else {
-		for i := range e.relev {
-			e.relev[i] = false
-		}
+	gates := e.n.Gates
+	for _, id := range e.order {
+		e.relev[id] = false
 	}
-	stack := e.coneBuf[:0]
+	// cone doubles as the work queue of both traversals.
+	cone := e.coneBuf[:0]
+	e.relev[target] = true
+	cone = append(cone, target)
 	if propagate {
-		// Seed with the fault's transitive fanout; the reverse closure
-		// below adds every justification cone feeding those paths.
-		tfo := n.TransitiveFanout(target)
-		for i, in := range tfo {
-			if in {
-				e.relev[i] = true
-				stack = append(stack, netlist.GateID(i))
+		// The fault's transitive fanout, DFFs noted but not crossed
+		// (the target itself is crossed even when it is a DFF).
+		for i := 0; i < len(cone); i++ {
+			id := cone[i]
+			if i > 0 && gates[id].Type == netlist.DFF {
+				continue
+			}
+			for _, s := range gates[id].Fanout {
+				if !e.relev[s] {
+					e.relev[s] = true
+					cone = append(cone, s)
+				}
 			}
 		}
-	} else {
-		e.relev[target] = true
-		stack = append(stack, target)
 	}
 	// Reverse closure under fanin (TFI), stopping at combinational
-	// sources (DFF outputs are sources in the full-scan view).
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		g := &n.Gates[id]
+	// sources (DFF outputs are sources in the full-scan view). For
+	// detection this adds every justification cone feeding the fault's
+	// paths.
+	for i := 0; i < len(cone); i++ {
+		g := &gates[cone[i]]
 		if g.Type == netlist.DFF || g.Type.IsSource() {
 			continue
 		}
 		for _, f := range g.Fanin {
 			if !e.relev[f] {
 				e.relev[f] = true
-				stack = append(stack, f)
+				cone = append(cone, f)
 			}
 		}
 	}
-	e.coneBuf = stack[:0]
+	e.coneBuf = cone
 
-	e.order = e.order[:0]
-	for _, id := range e.topo {
-		if e.relev[id] {
-			e.order = append(e.order, id)
+	// A small cone sorts by topological position; a large one filters
+	// the circuit order, which is cheaper past a few percent of it.
+	if len(cone) < len(e.topo)/32 {
+		e.order = append(e.order[:0], cone...)
+		pos := e.topoPos
+		slices.SortFunc(e.order, func(a, b netlist.GateID) int { return int(pos[a] - pos[b]) })
+	} else {
+		e.order = e.order[:0]
+		for _, id := range e.topo {
+			if e.relev[id] {
+				e.order = append(e.order, id)
+			}
 		}
 	}
 	e.obsList = e.obsList[:0]
 	if propagate {
-		for _, id := range e.n.CombOutputs() {
+		for _, id := range e.outs {
 			if e.relev[id] {
 				e.obsList = append(e.obsList, id)
 			}
@@ -361,6 +445,8 @@ func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
 	}
 }
 
+// evalPlane evaluates the whole cone in order into vals, forcing site
+// to sv.
 func (e *Engine) evalPlane(vals []sim.V3, site netlist.GateID, sv sim.V3) {
 	gates := e.n.Gates
 	for _, id := range e.order {
@@ -370,20 +456,121 @@ func (e *Engine) evalPlane(vals []sim.V3, site netlist.GateID, sv sim.V3) {
 		case netlist.Input, netlist.DFF:
 			v = e.assign[e.inputPos[id]]
 		default:
-			if cap(e.faninV3) < len(g.Fanin) {
-				e.faninV3 = make([]sim.V3, len(g.Fanin))
-			}
-			in := e.faninV3[:len(g.Fanin)]
-			for i, f := range g.Fanin {
-				in[i] = vals[f]
-			}
-			v = sim.EvalGate3(g.Type, in)
+			v = eval3(g, vals)
 		}
 		if id == site {
 			v = sv
 		}
 		vals[id] = v
 	}
+}
+
+// propagateEvents updates vals for the inputs assigned since the last
+// implication: a changed value schedules its in-cone fanout into that
+// gate's level bucket, and buckets drain in ascending level, so each
+// gate is evaluated once, after all of its changed fanins. A gate whose
+// value does not change schedules nothing.
+func (e *Engine) propagateEvents(vals []sim.V3, site netlist.GateID, sv sim.V3) {
+	gates := e.n.Gates
+	e.lo, e.hi = int32(len(e.buckets)), 0
+	for _, p := range e.dirty {
+		id := e.inputs[p]
+		if !e.relev[id] {
+			continue
+		}
+		v := e.assign[p]
+		if id == site {
+			v = sv
+		}
+		if vals[id] != v {
+			vals[id] = v
+			e.schedule(id)
+		}
+	}
+	for l := e.lo; l <= e.hi; l++ {
+		for _, id := range e.buckets[l] {
+			e.queued[id] = false
+			v := eval3(&gates[id], vals)
+			if id == site {
+				v = sv
+			}
+			if vals[id] != v {
+				vals[id] = v
+				e.schedule(id)
+			}
+		}
+		e.buckets[l] = e.buckets[l][:0]
+	}
+}
+
+// schedule queues the in-cone fanout of id for re-evaluation. DFFs take
+// their value from the assignment, never from their data input.
+func (e *Engine) schedule(id netlist.GateID) {
+	gates := e.n.Gates
+	for _, s := range gates[id].Fanout {
+		if !e.relev[s] || e.queued[s] || gates[s].Type == netlist.DFF {
+			continue
+		}
+		e.queued[s] = true
+		l := e.level[s]
+		e.buckets[l] = append(e.buckets[l], s)
+		if l < e.lo {
+			e.lo = l
+		}
+		if l > e.hi {
+			e.hi = l
+		}
+	}
+}
+
+// eval3 is sim.EvalGate3 reading g's fanin values straight out of vals.
+func eval3(g *netlist.Gate, vals []sim.V3) sim.V3 {
+	switch g.Type {
+	case netlist.Const0:
+		return sim.V3Zero
+	case netlist.Const1:
+		return sim.V3One
+	case netlist.Buf, netlist.DFF:
+		return vals[g.Fanin[0]]
+	case netlist.Not:
+		return sim.Not3(vals[g.Fanin[0]])
+	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
+		// cv is the controlling value: any input at cv decides the
+		// output; otherwise an X input leaves it X.
+		cv := sim.V3Zero
+		if g.Type == netlist.Or || g.Type == netlist.Nor {
+			cv = sim.V3One
+		}
+		acc := cv ^ 1
+		for _, f := range g.Fanin {
+			v := vals[f]
+			if v == cv {
+				acc = cv
+				break
+			}
+			if v == sim.V3X {
+				acc = sim.V3X
+			}
+		}
+		if g.Type == netlist.Nand || g.Type == netlist.Nor {
+			return sim.Not3(acc)
+		}
+		return acc
+	case netlist.Xor, netlist.Xnor:
+		acc := sim.V3Zero
+		for _, f := range g.Fanin {
+			v := vals[f]
+			if v == sim.V3X {
+				return sim.V3X
+			}
+			acc ^= v & 1
+		}
+		if g.Type == netlist.Xnor {
+			return sim.Not3(acc)
+		}
+		return acc
+	}
+	panic(fmt.Sprintf("atpg: eval3 on %v", g.Type))
 }
 
 // status reports whether the objective is met (ok) or provably violated
@@ -423,9 +610,9 @@ func (e *Engine) status(target netlist.GateID, want sim.V3, propagate bool) (ok,
 
 // dFrontier returns gates whose output is still undetermined in at least
 // one plane but which have a propagating D (definite, differing planes)
-// on some input.
+// on some input. The slice is engine scratch, valid until the next call.
 func (e *Engine) dFrontier() []netlist.GateID {
-	var out []netlist.GateID
+	out := e.frontier[:0]
 	for _, id := range e.order {
 		g := &e.n.Gates[id]
 		if g.Type == netlist.DFF || g.Type.IsSource() {
@@ -442,6 +629,7 @@ func (e *Engine) dFrontier() []netlist.GateID {
 			}
 		}
 	}
+	e.frontier = out
 	return out
 }
 
@@ -455,25 +643,26 @@ func (e *Engine) hasXPath(site netlist.GateID) bool {
 		// around it.
 		frontier = append(frontier, site)
 	}
-	observable := make(map[netlist.GateID]bool)
-	for _, id := range e.obsList {
-		observable[id] = true
+	e.stamp++
+	if e.stamp == 0 {
+		clear(e.seen)
+		e.stamp = 1
 	}
-	seen := make([]bool, len(e.n.Gates))
-	var stack []netlist.GateID
-	for _, f := range frontier {
-		stack = append(stack, f)
-	}
+	stack := append(e.xstack[:0], frontier...)
+	found := false
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] {
+		if e.seen[id] == e.stamp {
 			continue
 		}
-		seen[id] = true
-		if observable[id] && (e.good[id] == sim.V3X || e.faulty[id] == sim.V3X ||
+		e.seen[id] = e.stamp
+		// The observable set is obsList: the combinational outputs in
+		// the cone.
+		if e.isOut[id] && e.relev[id] && (e.good[id] == sim.V3X || e.faulty[id] == sim.V3X ||
 			e.good[id] != e.faulty[id]) {
-			return true
+			found = true
+			break
 		}
 		for _, s := range e.n.Gates[id].Fanout {
 			if e.n.Gates[s].Type == netlist.DFF {
@@ -486,7 +675,8 @@ func (e *Engine) hasXPath(site netlist.GateID) bool {
 			}
 		}
 	}
-	return false
+	e.xstack = stack[:0]
+	return found
 }
 
 // objective picks the next (node, value) goal.
@@ -546,8 +736,8 @@ func (e *Engine) objective(target netlist.GateID, want sim.V3, propagate bool) (
 func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
 	n := e.n
 	for {
-		if pos, isInput := e.inputPos[node]; isInput {
-			return pos, v
+		if pos := e.inputPos[node]; pos >= 0 {
+			return int(pos), v
 		}
 		g := &n.Gates[node]
 		switch g.Type {

@@ -253,50 +253,22 @@ func (g *Graph) ConnectEdges(ctx context.Context, cfg BuildConfig) error {
 	g.words = (v + 63) / 64
 	g.pa = nil
 	g.adj = make([][]uint64, v)
+	slab := make([]uint64, v*g.words)
 	for i := range g.adj {
-		g.adj[i] = make([]uint64, g.words)
+		g.adj[i] = slab[i*g.words : (i+1)*g.words : (i+1)*g.words]
 	}
 	g.EdgeRowsTotal = 0
 	if v >= 2 {
 		g.EdgeRowsTotal = v - 1
 	}
 	g.EdgeRowsDone = 0
-	var runErr error
-	if workers == 1 {
-		ctxDone := ctx.Done()
-	serial:
-		for i := 0; i < v-1; i++ {
-			select {
-			case <-ctxDone:
-				runErr = ctx.Err()
-				break serial
-			default:
-			}
-			if err := chaos.Hit(stage.GraphEdges, 0); err != nil {
-				runErr = err
-				break serial
-			}
-			for j := i + 1; j < v; j++ {
-				if !g.Cubes[i].Conflicts(g.Cubes[j]) {
-					g.setEdge(i, j)
-				}
-			}
-			g.EdgeRowsDone++
-		}
-	} else {
-		runErr = g.buildEdgesParallel(ctx, workers)
-	}
+	runErr := g.buildEdges(ctx, workers)
 	g.EdgeTime = time.Since(t1)
 	met := metersCtx(ctx)
 	met.pairChecks.Add(int64(v) * int64(v-1) / 2)
 	met.vertices.Set(int64(v))
 	met.edges.Set(int64(g.NumEdges()))
 	return runErr
-}
-
-func (g *Graph) setEdge(i, j int) {
-	g.adj[i][j/64] |= 1 << uint(j%64)
-	g.adj[j][i/64] |= 1 << uint(i%64)
 }
 
 // NumVertices returns the vertex count.

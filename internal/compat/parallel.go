@@ -2,6 +2,7 @@ package compat
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
 	"cghti/internal/rare"
+	"cghti/internal/sim"
 	"cghti/internal/stage"
 )
 
@@ -147,26 +149,36 @@ func (g *Graph) buildCubesParallel(ctx context.Context, n *netlist.Netlist, cand
 // is zero.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// buildEdgesParallel fills the bitset adjacency by sharding the
-// upper-triangle pair list row-wise over a worker pool. Workers pull
-// rows from an atomic cursor and record hits into per-worker edge
-// buffers; the buffers are folded into the shared bitsets afterwards,
-// single-threaded. The resulting adjacency is identical to the serial
-// double loop for any worker count — the pair test is pure and bitset
-// unions commute.
+// buildEdges fills the dense adjacency from a column index of the
+// cubes: for every input position some cube cares about, one vertex
+// bitset of the cubes with 1 there and one of the cubes with 0 there.
+// Vertex i conflicts with exactly the union of the opposing columns
+// over its own care bits, so row i is the complement of that union —
+// Σ care bits × ⌈V/64⌉ word operations instead of V²/2 cube
+// comparisons. The index takes 2 × (distinct care positions) × ⌈V/64⌉
+// words.
 //
-// Workers run under obs.Guard and check ctx per row. On interruption
-// the rows completed so far are still folded in (an edge recorded is an
-// edge verified) and the error is returned.
-func (g *Graph) buildEdgesParallel(ctx context.Context, workers int) error {
+// Workers claim rows from an atomic cursor and write them in place;
+// rows are disjoint, and the row for vertex i depends only on the
+// cubes, so the adjacency is identical for any worker count. Workers
+// run under obs.Guard and check ctx per row. On interruption only the
+// upper triangles (j > i) of completed rows are kept and then mirrored:
+// the graph holds exactly the edges of the rows done — every edge
+// recorded is an edge verified — and the error is returned.
+func (g *Graph) buildEdges(ctx context.Context, workers int) error {
 	v := len(g.Nodes)
 	if v < 2 {
 		return nil
 	}
-	type edge struct{ i, j int32 }
-	found := make([][]edge, workers)
+	words := g.words
+	colOf, cols := columnIndex(g.Cubes, words)
+	last := ^uint64(0)
+	if r := v % 64; r != 0 {
+		last = 1<<uint(r) - 1
+	}
+
+	done := make([]bool, v)
 	var cursor atomic.Int64
-	var rowsDone atomic.Int64
 	var runErr error
 	var errOnce sync.Once
 	setErr := func(err error) {
@@ -180,7 +192,6 @@ func (g *Graph) buildEdgesParallel(ctx context.Context, workers int) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var local []edge
 			setErr(obs.Guard(stage.GraphEdges, w, func() error {
 				for {
 					select {
@@ -192,26 +203,98 @@ func (g *Graph) buildEdgesParallel(ctx context.Context, workers int) error {
 						return err
 					}
 					i := int(cursor.Add(1)) - 1
-					if i >= v-1 {
+					if i >= v {
 						return nil
 					}
-					for j := i + 1; j < v; j++ {
-						if !g.Cubes[i].Conflicts(g.Cubes[j]) {
-							local = append(local, edge{int32(i), int32(j)})
+					row := g.adj[i]
+					g.Cubes[i].ForEachCare(func(p int, val sim.V3) {
+						// The opposing column: cubes with 0 where i has
+						// 1, and vice versa.
+						k := 2 * int(colOf[p])
+						if val == sim.V3Zero {
+							k++
 						}
+						for x, c := range cols[k*words : (k+1)*words] {
+							row[x] |= c
+						}
+					})
+					for x := range row {
+						row[x] = ^row[x]
 					}
-					rowsDone.Add(1)
+					row[words-1] &= last
+					row[i/64] &^= 1 << uint(i%64)
+					done[i] = true
 				}
 			}))
-			found[w] = local
 		}(w)
 	}
 	wg.Wait()
-	for _, local := range found {
-		for _, e := range local {
-			g.setEdge(int(e.i), int(e.j))
+
+	rowsDone := 0
+	for i := 0; i < v-1; i++ {
+		if done[i] {
+			rowsDone++
 		}
 	}
-	g.EdgeRowsDone = int(rowsDone.Load())
+	g.EdgeRowsDone = rowsDone
+	if rowsDone == v-1 && done[v-1] {
+		return runErr // every row complete: already symmetric
+	}
+	for i, row := range g.adj {
+		if !done[i] {
+			clear(row)
+			continue
+		}
+		// Keep j > i only.
+		clear(row[:i/64])
+		row[i/64] &^= 1<<uint(i%64+1) - 1
+	}
+	for i, row := range g.adj {
+		// Rows below i have already mirrored into row i's lower
+		// triangle; only its upper triangle is its own.
+		for x := i / 64; x < words; x++ {
+			word := row[x]
+			if x == i/64 {
+				word &^= 1<<uint(i%64+1) - 1
+			}
+			for word != 0 {
+				j := x*64 + bits.TrailingZeros64(word)
+				g.adj[j][i/64] |= 1 << uint(i%64)
+				word &= word - 1
+			}
+		}
+	}
 	return runErr
+}
+
+// columnIndex builds the per-position vertex bitsets of buildEdges.
+// colOf maps an input position to its column pair k (-1 if no cube
+// cares there); cols[2k] is the bitset of cubes with 0 at that position
+// and cols[2k+1] the bitset of cubes with 1, each words long, in one
+// slab.
+func columnIndex(cubes []atpg.Cube, words int) (colOf []int32, cols []uint64) {
+	colOf = make([]int32, cubes[0].Len())
+	for p := range colOf {
+		colOf[p] = -1
+	}
+	k := int32(0)
+	for _, c := range cubes {
+		c.ForEachCare(func(p int, _ sim.V3) {
+			if colOf[p] < 0 {
+				colOf[p] = k
+				k++
+			}
+		})
+	}
+	cols = make([]uint64, 2*int(k)*words)
+	for i, c := range cubes {
+		c.ForEachCare(func(p int, val sim.V3) {
+			k := 2 * int(colOf[p])
+			if val == sim.V3One {
+				k++
+			}
+			cols[k*words+i/64] |= 1 << uint(i%64)
+		})
+	}
+	return colOf, cols
 }

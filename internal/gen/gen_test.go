@@ -198,6 +198,26 @@ func TestRandomSpecErrors(t *testing.T) {
 	if _, err := Random(Spec{PIs: 3}); err == nil {
 		t.Error("Random accepted 0 gates")
 	}
+	// More POs than gates used to loop forever looking for another
+	// logic net to promote.
+	if _, err := Random(Spec{PIs: 3, POs: 4, Gates: 3}); err == nil {
+		t.Error("Random accepted more POs than gates")
+	}
+}
+
+// TestRandomNarrowSources: a gate wider than the nets created so far
+// takes every one of them instead of looping for a distinct fanin
+// that does not exist.
+func TestRandomNarrowSources(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		n, err := Random(Spec{PIs: 1, POs: 1, Gates: 6, MaxFanin: 4, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
 }
 
 func TestBenchmarkCatalog(t *testing.T) {

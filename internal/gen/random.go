@@ -37,6 +37,9 @@ func Random(spec Spec) (*netlist.Netlist, error) {
 	if spec.Gates < 1 {
 		return nil, fmt.Errorf("gen: spec needs at least 1 gate")
 	}
+	if spec.POs > spec.Gates {
+		return nil, fmt.Errorf("gen: spec asks for %d POs from %d gates", spec.POs, spec.Gates)
+	}
 	if spec.MaxFanin < 2 {
 		spec.MaxFanin = 4
 	}
@@ -58,6 +61,7 @@ func Random(spec Spec) (*netlist.Netlist, error) {
 	}
 
 	pickFanin := func(count int) []netlist.GateID {
+		count = min(count, len(signals)) // fanins are distinct
 		picked := make([]netlist.GateID, 0, count)
 		used := map[netlist.GateID]bool{}
 		for len(picked) < count {

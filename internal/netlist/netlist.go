@@ -13,6 +13,7 @@ package netlist
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"unsafe"
 )
@@ -361,17 +362,33 @@ func (n *Netlist) Clone() *Netlist {
 		PIs:       append([]GateID(nil), n.PIs...),
 		POs:       append([]GateID(nil), n.POs...),
 		DFFs:      append([]GateID(nil), n.DFFs...),
-		byName:    make(map[string]GateID, len(n.byName)),
+		byName:    maps.Clone(n.byName),
 		levelized: n.levelized,
+	}
+	if c.byName == nil {
+		c.byName = make(map[string]GateID)
+	}
+	// All fanin and fanout lists share one arena. Each list is capped
+	// at its length, so growing one later reallocates it instead of
+	// writing into its neighbour.
+	edges := 0
+	for i := range n.Gates {
+		edges += len(n.Gates[i].Fanin) + len(n.Gates[i].Fanout)
+	}
+	arena := make([]GateID, 0, edges)
+	list := func(ids []GateID) []GateID {
+		if len(ids) == 0 {
+			return nil
+		}
+		at := len(arena)
+		arena = append(arena, ids...)
+		return arena[at:len(arena):len(arena)]
 	}
 	for i := range n.Gates {
 		g := n.Gates[i]
-		g.Fanin = append([]GateID(nil), g.Fanin...)
-		g.Fanout = append([]GateID(nil), g.Fanout...)
+		g.Fanin = list(g.Fanin)
+		g.Fanout = list(g.Fanout)
 		c.Gates[i] = g
-	}
-	for k, v := range n.byName {
-		c.byName[k] = v
 	}
 	if n.topo != nil {
 		c.topo = append([]GateID(nil), n.topo...)

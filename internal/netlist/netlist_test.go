@@ -177,6 +177,39 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneListsGrowApart checks that a clone's fanin and fanout lists,
+// which share one backing array, do not spill into each other when one
+// of them grows.
+func TestCloneListsGrowApart(t *testing.T) {
+	n, a, b, inv, out := buildSmall(t)
+	c := n.Clone()
+	// a's fanout list is followed by other lists in the clone's arena.
+	extra := c.MustAddGate("extra", Or)
+	c.Connect(a, extra)
+	c.Connect(b, extra)
+	if got := c.Gates[a].Fanout; len(got) != 2 || got[0] != out || got[1] != extra {
+		t.Fatalf("a fanout = %v, want [%d %d]", got, out, extra)
+	}
+	if got := c.Gates[b].Fanout; len(got) != 2 || got[0] != inv || got[1] != extra {
+		t.Fatalf("b fanout = %v, want [%d %d]", got, inv, extra)
+	}
+	if got := c.Gates[out].Fanin; len(got) != 2 || got[0] != a || got[1] != inv {
+		t.Fatalf("out fanin = %v, want [%d %d]", got, a, inv)
+	}
+	if got := c.Gates[inv].Fanin; len(got) != 1 || got[0] != b {
+		t.Fatalf("inv fanin = %v, want [%d]", got, b)
+	}
+	if c.Gates[a].Fanin != nil {
+		t.Fatalf("input a has fanin %v in the clone", c.Gates[a].Fanin)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("clone invalid: %v", err)
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatalf("original corrupted by clone mutation: %v", err)
+	}
+}
+
 func TestValidateCatchesArity(t *testing.T) {
 	n := New("bad")
 	n.MustAddGate("a", Input)

@@ -42,19 +42,37 @@ func bucketIndex(d time.Duration) int {
 // Histogram is a lock-free log-bucketed latency distribution, safe for
 // concurrent Observe from hot paths: one atomic add on the bucket plus
 // one on the nanosecond sum (doubled per ancestor registry when the
-// histogram is scoped — same mirroring rule as Counter).
+// histogram is scoped — same mirroring rule as Counter), and the
+// observed extremes, which bound every quantile estimate.
 type Histogram struct {
 	name    string
 	mirror  *Histogram // same-named histogram in the parent registry, if scoped
 	sum     atomic.Int64
 	buckets [NumHistogramBuckets]atomic.Uint64
+	minP1   atomic.Int64 // smallest observation in ns, plus 1; 0 = none yet
+	max     atomic.Int64 // largest observation in ns
 }
 
 // Name returns the histogram's registered name.
 func (h *Histogram) Name() string { return h.name }
 
-// Observe records one duration.
+// Observe records one duration. Negative durations count as 0.
 func (h *Histogram) Observe(d time.Duration) {
+	// Extremes first: a snapshot that counts this observation then
+	// also sees it in [min, max].
+	ns := max(d.Nanoseconds(), 0)
+	for {
+		cur := h.minP1.Load()
+		if cur != 0 && cur <= ns+1 || h.minP1.CompareAndSwap(cur, ns+1) {
+			break
+		}
+	}
+	for {
+		cur := h.max.Load()
+		if cur >= ns || h.max.CompareAndSwap(cur, ns) {
+			break
+		}
+	}
 	h.buckets[bucketIndex(d)].Add(1)
 	h.sum.Add(d.Nanoseconds())
 	if h.mirror != nil {
@@ -75,6 +93,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Count += c
 	}
 	s.Sum = time.Duration(h.sum.Load())
+	if s.Count > 0 {
+		s.Min = time.Duration(h.minP1.Load() - 1)
+		s.Max = time.Duration(h.max.Load())
+	}
 	return s
 }
 
@@ -87,10 +109,16 @@ type HistogramSnapshot struct {
 	// Buckets holds per-bucket (non-cumulative) counts; bucket bounds
 	// come from HistogramBound.
 	Buckets [NumHistogramBuckets]uint64
+	// Min and Max bound every observation counted (0 when empty). A
+	// Delta keeps the later snapshot's extremes: they still bound the
+	// window's observations, if less tightly.
+	Min, Max time.Duration
 }
 
 // Quantile estimates the q-quantile (0..1) by locating the target rank's
-// bucket and interpolating linearly inside it.
+// bucket and interpolating linearly inside it, clamped to the observed
+// [Min, Max] — so a single sample reports itself at every quantile
+// instead of a point inside its bucket.
 //
 // Edge cases are defined, not accidental:
 //   - An empty snapshot returns 0 — there is no data to make any claim
@@ -98,10 +126,20 @@ type HistogramSnapshot struct {
 //   - q is clamped into [0,1]: q < 0 behaves as 0 (the first observed
 //     bucket's rank-1 estimate), q > 1 behaves as 1 (the maximum). A NaN
 //     q clamps to 0, the most conservative well-defined request.
-//   - Mass in the overflow (+Inf) bucket reports that bucket's lower
-//     bound (HistogramBound(NumHistogramBuckets-2)) — the strongest
-//     claim the data supports, never a fabricated larger value.
+//   - Mass in the overflow (+Inf) bucket estimates that bucket's lower
+//     bound (HistogramBound(NumHistogramBuckets-2)), which the clamp
+//     then moves into the observed extremes — never a fabricated value.
+//   - A snapshot without recorded extremes (Max 0) is not clamped.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+	est := s.bucketQuantile(q)
+	if s.Count > 0 && s.Max > 0 {
+		est = min(max(est, s.Min), s.Max)
+	}
+	return est
+}
+
+// bucketQuantile is Quantile before the clamp to the observed extremes.
+func (s HistogramSnapshot) bucketQuantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
@@ -148,5 +186,8 @@ func (s HistogramSnapshot) Delta(base HistogramSnapshot) (out HistogramSnapshot,
 		out.Count += d
 	}
 	out.Sum = s.Sum - base.Sum
+	if out.Count != 0 {
+		out.Min, out.Max = s.Min, s.Max
+	}
 	return out, out.Count != 0
 }

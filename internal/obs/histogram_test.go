@@ -167,9 +167,11 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		t.Fatalf("Quantile(NaN) = %v, outside the observed range", got)
 	}
 
-	// All mass in the overflow bucket: every quantile reports the
-	// bucket's lower bound — the strongest supportable claim — rather
-	// than 0 or a fabricated larger value.
+	// All mass in the overflow bucket: the bucket has no upper bound to
+	// interpolate toward, so the estimate is its lower bound clamped
+	// into the observed extremes — never 0 or a fabricated value. Every
+	// observation here is 4×infLo, so every quantile reports exactly
+	// that.
 	var inf Histogram
 	infLo := HistogramBound(NumHistogramBuckets - 2)
 	for i := 0; i < 10; i++ {
@@ -180,9 +182,56 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		t.Fatalf("setup: mass not in the overflow bucket: %v", isnap.Buckets)
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1, -1, 2, nan} {
-		if got := isnap.Quantile(q); got != infLo {
-			t.Fatalf("overflow-only Quantile(%v) = %v, want the +Inf lower bound %v", q, got, infLo)
+		if got := isnap.Quantile(q); got != infLo*4 {
+			t.Fatalf("overflow-only Quantile(%v) = %v, want the observed %v", q, got, infLo*4)
 		}
+	}
+}
+
+// TestHistogramQuantileClampedToExtremes pins the clamp to the observed
+// extremes: a one-sample histogram reports that sample at every
+// quantile (before the clamp, a lone 334ms sample read p50 = 524ms,
+// a point inside its log2 bucket), and no quantile of a wider
+// distribution leaves [min, max].
+func TestHistogramQuantileClampedToExtremes(t *testing.T) {
+	var one Histogram
+	sample := 334 * time.Millisecond
+	one.Observe(sample)
+	snap := one.Snapshot()
+	if snap.Min != sample || snap.Max != sample {
+		t.Fatalf("extremes = [%v, %v], want [%v, %v]", snap.Min, snap.Max, sample, sample)
+	}
+	for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.99, 1} {
+		if got := snap.Quantile(q); got != sample {
+			t.Fatalf("one-sample Quantile(%v) = %v, want %v", q, got, sample)
+		}
+	}
+
+	var h Histogram
+	for _, d := range []time.Duration{3 * time.Microsecond, 700 * time.Microsecond, 900 * time.Microsecond} {
+		h.Observe(d)
+	}
+	snap = h.Snapshot()
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
+		if got := snap.Quantile(q); got < 3*time.Microsecond || got > 900*time.Microsecond {
+			t.Fatalf("Quantile(%v) = %v outside the observed [3µs, 900µs]", q, got)
+		}
+	}
+	if got := snap.Quantile(1); got != 900*time.Microsecond {
+		t.Fatalf("Quantile(1) = %v, want the maximum 900µs", got)
+	}
+
+	// A scoped histogram's extremes are its own; the parent's cover
+	// both.
+	parent := NewRegistry()
+	scoped := NewScoped(parent)
+	parent.Histogram("t.lat").Observe(time.Second)
+	scoped.Histogram("t.lat").Observe(sample)
+	if s := scoped.Snapshot().Histograms["t.lat"]; s.Min != sample || s.Max != sample {
+		t.Fatalf("scoped extremes = [%v, %v], want [%v, %v]", s.Min, s.Max, sample, sample)
+	}
+	if s := parent.Snapshot().Histograms["t.lat"]; s.Min != sample || s.Max != time.Second {
+		t.Fatalf("parent extremes = [%v, %v], want [%v, %v]", s.Min, s.Max, sample, time.Second)
 	}
 }
 

@@ -383,6 +383,7 @@ func (s *Server) runJob(j *Job) {
 	j.Attempts++
 	j.cancel = cancel
 	attempt := j.Attempts
+	run := j.run
 	running := s.countRunningLocked()
 	s.mu.Unlock()
 	s.journalAppend(journal.Record{Type: journal.EvStarted, Job: j.ID, Attempt: attempt})
@@ -390,7 +391,7 @@ func (s *Server) runJob(j *Job) {
 	gaugeRunning.Set(running)
 	defer cancel()
 
-	result, err := j.run(ctx, reg, trace, j.feed)
+	result, err := run(ctx, reg, trace, j.feed)
 
 	// Observe the end-to-end latency before snapshotting, so the job's
 	// own report carries it.
@@ -403,6 +404,10 @@ func (s *Server) runJob(j *Job) {
 	j.Finished = finished
 	j.Report = rep
 	j.cancel = nil
+	// The closure holds the job's parsed inputs; a retained finished
+	// job must not pin them. Recovery rebuilds closures from the
+	// journal, so nothing reads it after this.
+	j.run = nil
 	var rec journal.Record
 	switch {
 	case err == nil:
@@ -444,6 +449,7 @@ func (s *Server) cancelQueued(j *Job) {
 	j.Status = StatusCanceled
 	j.Err = "canceled: server draining"
 	j.Finished = time.Now()
+	j.run = nil
 	s.noteFinishedLocked(j)
 	s.mu.Unlock()
 	cntCanceled.Inc()

@@ -358,6 +358,51 @@ func TestGracefulDrain(t *testing.T) {
 	if rep.Extra == nil || rep.Extra["jobs_canceled"] == nil {
 		t.Fatal("drain report is missing job accounting")
 	}
+	// Both the canceled running job and the never-started queued one
+	// let go of their run closures.
+	assertNoRun(t, s, ids...)
+}
+
+// assertNoRun checks that each job is terminal and holds no run
+// closure, so a retained finished job does not pin its parsed inputs.
+func assertNoRun(t *testing.T, s *Server, ids ...string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		j := s.jobs[id]
+		if j == nil {
+			t.Fatalf("job %s is not retained", id)
+		}
+		if !j.Status.Terminal() {
+			t.Fatalf("job %s is %s, want terminal", id, j.Status)
+		}
+		if j.run != nil {
+			t.Errorf("%s job %s still holds its run closure", j.Status, id)
+		}
+	}
+}
+
+// TestTerminalJobDropsRun pins that a completed job releases its run
+// closure (and with it the parsed netlists the closure captured).
+func TestTerminalJobDropsRun(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	s.Start()
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := genRequest(3)
+	body.Bench = benchText(t, "c17")
+	resp := postJSON(t, ts, "/v1/generate", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	id := decodeBody[submitResponse](t, resp).ID
+	if view := pollJob(t, ts, id); view.Status != StatusDone {
+		t.Fatalf("job status = %s (err %q), want done", view.Status, view.Error)
+	}
+	assertNoRun(t, s, id)
 }
 
 // TestDrainFinishesFastJobs pins the happy drain: jobs that complete

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
+	"weak"
 
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
@@ -45,7 +48,7 @@ type Batcher struct {
 	mu     sync.Mutex
 	closed bool
 	progs  map[*Program]*progState
-	memo   map[*netlist.Netlist]*netMemo
+	memo   map[weak.Pointer[netlist.Netlist]]*netMemo
 	wg     sync.WaitGroup
 }
 
@@ -71,11 +74,6 @@ var silentMeters = newMeters(obs.NewRegistry())
 // 16-word rare-extraction blocks side by side.
 const DefaultEngineWords = 64
 
-// memoLimit bounds the netlist -> program memo. Past it the memo is
-// dropped wholesale; correctness is unaffected, the next submit simply
-// re-resolves (a registry hit).
-const memoLimit = 1024
-
 // BatcherConfig parameterizes NewBatcher.
 type BatcherConfig struct {
 	// EngineWords is the shared engine width in 64-pattern words
@@ -99,17 +97,21 @@ func NewBatcher(cfg BatcherConfig) *Batcher {
 		engineWords: cfg.EngineWords,
 		workers:     cfg.Workers,
 		progs:       make(map[*Program]*progState),
-		memo:        make(map[*netlist.Netlist]*netMemo),
+		memo:        make(map[weak.Pointer[netlist.Netlist]]*netMemo),
 	}
 }
 
 // netMemo caches the (program, slot) resolution for one netlist
 // pointer, with the same shape guard the engine pool uses against
-// in-place mutation. Each entry owns one program reference.
+// in-place mutation. Each entry owns one program reference. The memo
+// holds its netlist only weakly: once the netlist is garbage, cleanup
+// drops the entry and releases the program, so the memo never keeps a
+// finished job's netlist alive.
 type netMemo struct {
 	gates, edges int
 	prog         *Program
 	slot         []int32
+	cleanup      runtime.Cleanup
 }
 
 // progState is the per-program batching state: one FIFO queue and one
@@ -186,11 +188,8 @@ func (bt *Batcher) Simulate(ctx context.Context, req *Request) error {
 		// and Read touch caller-owned state).
 		bt.mu.Lock()
 		if !item.taken {
-			for i, it := range ps.queue {
-				if it == item {
-					ps.queue = append(ps.queue[:i], ps.queue[i+1:]...)
-					break
-				}
+			if i := slices.Index(ps.queue, item); i >= 0 {
+				ps.queue = slices.Delete(ps.queue, i, i+1)
 			}
 			bt.mu.Unlock()
 			return ctx.Err()
@@ -207,14 +206,14 @@ func (bt *Batcher) resolveLocked(n *netlist.Netlist) (*Program, []int32, error) 
 	for i := range n.Gates {
 		edges += len(n.Gates[i].Fanin)
 	}
-	if m := bt.memo[n]; m != nil {
+	key := weak.Make(n)
+	if m := bt.memo[key]; m != nil {
 		if m.gates == len(n.Gates) && m.edges == edges {
 			return m.prog, m.slot, nil
 		}
 		// Mutated in place since memoized (e.g. a trojan was inserted):
 		// drop the stale entry and re-resolve.
-		releaseProgram(m.prog)
-		delete(bt.memo, n)
+		bt.dropLocked(key, m)
 	}
 	if err := n.Levelize(); err != nil {
 		return nil, nil, err
@@ -223,14 +222,27 @@ func (bt *Batcher) resolveLocked(n *netlist.Netlist) (*Program, []int32, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(bt.memo) >= memoLimit {
-		for k, m := range bt.memo {
-			releaseProgram(m.prog)
-			delete(bt.memo, k)
-		}
-	}
-	bt.memo[n] = &netMemo{gates: len(n.Gates), edges: edges, prog: prog, slot: slot}
+	m := &netMemo{gates: len(n.Gates), edges: edges, prog: prog, slot: slot}
+	m.cleanup = runtime.AddCleanup(n, bt.forget, key)
+	bt.memo[key] = m
 	return prog, slot, nil
+}
+
+// forget drops the memo entry of a netlist that has been collected.
+func (bt *Batcher) forget(key weak.Pointer[netlist.Netlist]) {
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	if m := bt.memo[key]; m != nil {
+		bt.dropLocked(key, m)
+	}
+}
+
+// dropLocked removes one memo entry and releases its program. Caller
+// holds bt.mu.
+func (bt *Batcher) dropLocked(key weak.Pointer[netlist.Netlist], m *netMemo) {
+	m.cleanup.Stop()
+	releaseProgram(m.prog)
+	delete(bt.memo, key)
 }
 
 // dispatch drains one program's queue, packing a fair-share cycle of
@@ -262,6 +274,10 @@ func (bt *Batcher) dispatch(ps *progState) {
 			}
 			rest = append(rest, it)
 		}
+		// Taken items must not linger past the filtered prefix: a stale
+		// pointer there would keep the block's request (and its
+		// netlist) alive.
+		clear(ps.queue[len(rest):])
 		ps.queue = rest
 		if ps.eng == nil {
 			// Build the shared wide engine on first dispatch: a
@@ -377,9 +393,8 @@ func (bt *Batcher) Close() {
 		}
 		ps.queue = nil
 	}
-	for n, m := range bt.memo {
-		releaseProgram(m.prog)
-		delete(bt.memo, n)
+	for key, m := range bt.memo {
+		bt.dropLocked(key, m)
 	}
 	bt.mu.Unlock()
 	bt.wg.Wait()

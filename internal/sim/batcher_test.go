@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -329,5 +330,48 @@ func TestServicePlumbing(t *testing.T) {
 	}
 	if k := JobKeyFor(WithJobKey(ctx, "job-9")); k != "job-9" {
 		t.Errorf("job key round-trip: got %q", k)
+	}
+}
+
+// memoLen reports the number of memoized netlists.
+func (bt *Batcher) memoLen() int {
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	return len(bt.memo)
+}
+
+// TestBatcherMemoReleasesDroppedNetlists pins that the netlist ->
+// program memo holds its netlists weakly: after many distinct netlists
+// are simulated and dropped, a garbage collection empties the memo and
+// releases every program reference it held, leaving only the shared
+// engine's own.
+func TestBatcherMemoReleasesDroppedNetlists(t *testing.T) {
+	_, refs0 := SharedProgramStats()
+	bt := NewBatcher(BatcherConfig{})
+	defer bt.Close()
+	const jobs = 64
+	live := make([]*netlist.Netlist, jobs)
+	for i := range live {
+		live[i] = gen.MustBenchmark("c17")
+		simulateVia(t, bt, context.Background(), live[i], 1, int64(i))
+	}
+	if got := bt.memoLen(); got != jobs {
+		t.Fatalf("memo holds %d netlists after %d distinct ones, want %d", got, jobs, jobs)
+	}
+	if _, refs := SharedProgramStats(); refs != refs0+jobs+1 {
+		t.Fatalf("live program references = %d, want %d (one per memo entry plus the engine's)", refs, refs0+jobs+1)
+	}
+	runtime.KeepAlive(live)
+	live = nil
+	deadline := time.Now().Add(10 * time.Second)
+	for bt.memoLen() > 0 && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := bt.memoLen(); got != 0 {
+		t.Fatalf("memo still holds %d dropped netlists after GC", got)
+	}
+	if _, refs := SharedProgramStats(); refs != refs0+1 {
+		t.Fatalf("live program references = %d after GC, want %d (the engine's only)", refs, refs0+1)
 	}
 }

@@ -78,3 +78,64 @@ func Eval(n *netlist.Netlist, inputs map[netlist.GateID]uint8) ([]uint8, error) 
 	}
 	return vals, nil
 }
+
+// EvalWords is Eval over up to 64 patterns at once: bit k of a word is
+// pattern k. inputs lists combinational inputs and words their values,
+// one word each; every PI and DFF of n must be among them. The returned
+// slice holds every gate's word, indexed by GateID.
+func EvalWords(n *netlist.Netlist, inputs []netlist.GateID, words []uint64) ([]uint64, error) {
+	topo, err := n.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]uint64, len(n.Gates))
+	set := make([]bool, len(n.Gates))
+	for i, id := range inputs {
+		vals[id] = words[i]
+		set[id] = true
+	}
+	for _, id := range topo {
+		g := &n.Gates[id]
+		var v uint64
+		switch g.Type {
+		case netlist.Input, netlist.DFF:
+			if !set[id] {
+				return nil, fmt.Errorf("sim: no value for input %q", g.Name)
+			}
+			continue
+		case netlist.Const0:
+		case netlist.Const1:
+			v = ^uint64(0)
+		case netlist.Buf:
+			v = vals[g.Fanin[0]]
+		case netlist.Not:
+			v = ^vals[g.Fanin[0]]
+		case netlist.And, netlist.Nand:
+			v = ^uint64(0)
+			for _, f := range g.Fanin {
+				v &= vals[f]
+			}
+			if g.Type == netlist.Nand {
+				v = ^v
+			}
+		case netlist.Or, netlist.Nor:
+			for _, f := range g.Fanin {
+				v |= vals[f]
+			}
+			if g.Type == netlist.Nor {
+				v = ^v
+			}
+		case netlist.Xor, netlist.Xnor:
+			for _, f := range g.Fanin {
+				v ^= vals[f]
+			}
+			if g.Type == netlist.Xnor {
+				v = ^v
+			}
+		default:
+			panic(fmt.Sprintf("sim: EvalWords on %v", g.Type))
+		}
+		vals[id] = v
+	}
+	return vals, nil
+}

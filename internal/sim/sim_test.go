@@ -171,6 +171,51 @@ func TestPackedMatchesScalarRandomCircuits(t *testing.T) {
 	}
 }
 
+// TestEvalWordsMatchesEval pins the word-parallel evaluator against the
+// reference evaluator, pattern by pattern, on random circuits.
+func TestEvalWordsMatchesEval(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 30}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := randomNetlist(rng, 4+rng.Intn(5), 20+rng.Intn(60))
+		inputs := n.CombInputs()
+		words := make([]uint64, len(inputs))
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		got, err := EvalWords(n, inputs, words)
+		if err != nil {
+			return false
+		}
+		for pat := 0; pat < 64; pat++ {
+			in := map[netlist.GateID]uint8{}
+			for i, id := range inputs {
+				in[id] = uint8(words[i] >> uint(pat) & 1)
+			}
+			want, err := Eval(n, in)
+			if err != nil {
+				return false
+			}
+			for g := range n.Gates {
+				if uint8(got[g]>>uint(pat)&1) != want[g] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestEvalWordsMissingInput(t *testing.T) {
+	n := mkC17(t)
+	if _, err := EvalWords(n, n.PIs[:4], make([]uint64, 4)); err == nil {
+		t.Fatal("EvalWords with a PI missing: want an error")
+	}
+}
+
 // randomNetlist builds a small random combinational circuit for property
 // tests (local to avoid an import cycle with internal/gen).
 func randomNetlist(rng *rand.Rand, pis, gates int) *netlist.Netlist {

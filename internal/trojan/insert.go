@@ -277,33 +277,33 @@ func wirePayload(out *netlist.Netlist, inst *Instance, trig *Trigger, victim, tr
 
 // payloadObservable simulates a handful of activating vectors (random
 // completions of the cube) and reports whether any produces an output
-// difference against the golden netlist.
+// difference against the golden netlist. The vectors are simulated
+// side by side, one bit lane each.
 func payloadObservable(golden, infected *netlist.Netlist, inst *Instance, cube atpg.Cube, rng *rand.Rand) bool {
+	const trials = 16
 	inputs := golden.CombInputs()
 	goldenOuts := golden.CombOutputs()
 	infectedOuts := infected.CombOutputs()
-	in := make(map[netlist.GateID]uint8, len(inputs))
-	for trial := 0; trial < 16; trial++ {
+	words := make([]uint64, len(inputs))
+	for trial := 0; trial < trials; trial++ {
 		filled := cube.Fill(rng)
-		for i, id := range inputs {
+		for i := range inputs {
 			if filled[i] {
-				in[id] = 1
-			} else {
-				in[id] = 0
+				words[i] |= 1 << trial
 			}
 		}
-		gv, err := sim.Eval(golden, in)
-		if err != nil {
-			return false
-		}
-		iv, err := sim.Eval(infected, in)
-		if err != nil {
-			return false
-		}
-		for i := range goldenOuts {
-			if gv[goldenOuts[i]] != iv[infectedOuts[i]] {
-				return true
-			}
+	}
+	gv, err := sim.EvalWords(golden, inputs, words)
+	if err != nil {
+		return false
+	}
+	iv, err := sim.EvalWords(infected, inputs, words)
+	if err != nil {
+		return false
+	}
+	for i := range goldenOuts {
+		if (gv[goldenOuts[i]]^iv[infectedOuts[i]])&(1<<trials-1) != 0 {
+			return true
 		}
 	}
 	return false

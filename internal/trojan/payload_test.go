@@ -178,3 +178,112 @@ func TestInsertExhaustiveEquivalenceSmall(t *testing.T) {
 		}
 	}
 }
+
+// payloadObservableScalar is the one-vector-at-a-time form of
+// payloadObservable: it stops at the first vector that shows a
+// difference.
+func payloadObservableScalar(golden, infected *netlist.Netlist, cube atpg.Cube, rng *rand.Rand) bool {
+	inputs := golden.CombInputs()
+	goldenOuts := golden.CombOutputs()
+	infectedOuts := infected.CombOutputs()
+	in := make(map[netlist.GateID]uint8, len(inputs))
+	for trial := 0; trial < 16; trial++ {
+		filled := cube.Fill(rng)
+		for i, id := range inputs {
+			in[id] = 0
+			if filled[i] {
+				in[id] = 1
+			}
+		}
+		gv, err := sim.Eval(golden, in)
+		if err != nil {
+			return false
+		}
+		iv, err := sim.Eval(infected, in)
+		if err != nil {
+			return false
+		}
+		for i := range goldenOuts {
+			if gv[goldenOuts[i]] != iv[infectedOuts[i]] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestPayloadObservableMatchesScalar checks the lane-parallel payload
+// check against the scalar one, with the clique's cube (the payload
+// usually shows) and with an all-X cube (it usually does not). When
+// neither sees a difference both must have drawn the same 16 vectors,
+// since insertion goes on to the next victim with the same stream.
+func TestPayloadObservableMatchesScalar(t *testing.T) {
+	seen := map[bool]int{}
+	for _, seed := range []int64{21, 51, 77} {
+		n, g, clique := pipeline(t, seed)
+		for index := 0; index < 4; index++ {
+			infected, inst, err := InsertInstance(n, clique.Nodes(g), clique.Cube, index, InsertSpec{Seed: seed + int64(index)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cube := range []atpg.Cube{clique.Cube, atpg.NewCube(clique.Cube.Len())} {
+				for s := int64(0); s < 32; s++ {
+					r1 := rand.New(rand.NewSource(s))
+					r2 := rand.New(rand.NewSource(s))
+					got := payloadObservable(n, infected, inst, cube, r1)
+					want := payloadObservableScalar(n, infected, cube, r2)
+					if got != want {
+						t.Fatalf("seed %d instance %d stream %d: lane-parallel %v, scalar %v", seed, index, s, got, want)
+					}
+					if !got && r1.Int63() != r2.Int63() {
+						t.Fatalf("seed %d instance %d stream %d: streams diverge after a miss", seed, index, s)
+					}
+					seen[got]++
+				}
+			}
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("outcomes %v: want both observable and unobservable cases", seen)
+	}
+}
+
+// TestPayloadObservableIgnoresIdleLanes checks that only the 16 drawn
+// vectors count. The infected copy differs from the golden one only on
+// a=0, b=0, which the cube (a=1) never draws but the unused lanes hold.
+func TestPayloadObservableIgnoresIdleLanes(t *testing.T) {
+	build := func(infected bool) *netlist.Netlist {
+		n := netlist.New("lanes")
+		a := n.MustAddGate("a", netlist.Input)
+		b := n.MustAddGate("b", netlist.Input)
+		o := n.MustAddGate("o", netlist.Buf)
+		n.Connect(a, o)
+		if !infected {
+			n.MarkPO(o)
+			return n
+		}
+		trig := n.MustAddGate("trig", netlist.Nor)
+		n.Connect(a, trig)
+		n.Connect(b, trig)
+		p := n.MustAddGate("p", netlist.Xor)
+		n.Connect(o, p)
+		n.Connect(trig, p)
+		n.MarkPO(p)
+		return n
+	}
+	golden, infected := build(false), build(true)
+	cube, err := atpg.ParseCube("1X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payloadObservable(golden, infected, nil, cube, rand.New(rand.NewSource(1))) {
+		t.Fatal("a=1 cube: payload reported observable, but no drawn vector fires it")
+	}
+	cube, err = atpg.ParseCube("0X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !payloadObservable(golden, infected, nil, cube, rand.New(rand.NewSource(1))) {
+		t.Fatal("a=0 cube: payload not observable, but b=0 fires it")
+	}
+}
