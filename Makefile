@@ -48,11 +48,14 @@ race:
 # regression that panics or hangs on malformed input fails the gate.
 # FuzzPODEM checks event-driven implication against full evaluation and
 # PODEM's verdicts against exhaustive enumeration on random circuits.
+# FuzzDecodeGraph checks that any compatibility graph DecodeGraph
+# accepts (a cache or peer entry) can be edge-built and mined.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/bench
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/vparse
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzPODEM$$' -fuzztime 5s ./internal/atpg
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGraph$$' -fuzztime 5s ./internal/compat
 
 # End-to-end daemon check: build the real htserved binary, run a c17
 # generation job over HTTP, SIGTERM, and require a clean drain. Always

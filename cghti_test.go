@@ -253,9 +253,9 @@ func TestGenerateActiveLow(t *testing.T) {
 }
 
 // TestGeneratePartitionsIdentical is the facade-level scale-path
-// contract: Config.Partitions changes engine layout and adjacency
-// representation, never results. The emitted infected netlists must be
-// byte-identical to the whole-netlist run.
+// contract: Config.Partitions changes engine layout, never results.
+// The emitted infected netlists must be byte-identical to the
+// whole-netlist run.
 func TestGeneratePartitionsIdentical(t *testing.T) {
 	n, err := Circuit("soc:4000:13")
 	if err != nil {

@@ -124,14 +124,12 @@ type Config struct {
 	// 0 = GOMAXPROCS. The pipeline output is identical for any value.
 	Workers int
 	// Partitions splits the netlist into this many fanout-cone
-	// partitions for the scale path: rare extraction, PODEM cube
-	// generation, and compatibility-edge construction run per-partition,
-	// and the graph stores per-partition adjacency blocks plus a sparse
-	// cross-partition conflict list instead of one dense V×V bitset.
-	// 0 or 1 keeps the whole-netlist engines. Like Workers, the pipeline
-	// output is bit-identical for any value — partitioning changes
-	// memory layout and locality, never results. Worth switching on
-	// from ~10⁵ gates.
+	// partitions for the scale path: rare extraction and PODEM cube
+	// generation run per-partition. Edge construction and the
+	// compatibility graph do not depend on it. 0 or 1 keeps the
+	// whole-netlist engines. Like Workers, the pipeline output is
+	// bit-identical for any value — partitioning changes engine size
+	// and locality, never results. Worth switching on from ~10⁵ gates.
 	Partitions int
 	// Progress, if non-nil, receives stage-transition and
 	// percent-complete events while Generate runs, so long runs on

@@ -135,30 +135,6 @@ func (c Cube) ForEachCare(f func(i int, v sim.V3)) {
 	}
 }
 
-// CareBounds returns the first and last care positions, or (-1, -1) for
-// an all-X cube. Two cubes whose [lo, hi] ranges do not overlap cannot
-// conflict — the O(1) support-interval test the partitioned pairwise
-// pass uses to skip cube pairs from unrelated logic cones.
-func (c Cube) CareBounds() (lo, hi int) {
-	lo, hi = -1, -1
-	for w := range c.ones {
-		if word := c.ones[w] | c.zeros[w]; word != 0 {
-			lo = w*64 + bits.TrailingZeros64(word)
-			break
-		}
-	}
-	if lo < 0 {
-		return -1, -1
-	}
-	for w := len(c.ones) - 1; w >= 0; w-- {
-		if word := c.ones[w] | c.zeros[w]; word != 0 {
-			hi = w*64 + 63 - bits.LeadingZeros64(word)
-			break
-		}
-	}
-	return lo, hi
-}
-
 // Equal reports whether two cubes assign identical values everywhere.
 func (c Cube) Equal(o Cube) bool {
 	if c.n != o.n {

@@ -2,6 +2,7 @@ package compat
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cghti/internal/artifact"
 	"cghti/internal/atpg"
@@ -11,19 +12,12 @@ import (
 
 // Codec versions guard the encoding layouts; bumping one invalidates
 // the corresponding cached artifacts (old entries fail to decode and
-// are recomputed). Graph v2 added the vertex-partition list and the
-// partitioned adjacency representation (adjacency kind byte instead of
-// a present/absent bool).
+// are recomputed). Graph v3 dropped the vertex-partition list and the
+// partitioned adjacency: the adjacency is a present/absent flag
+// followed by one bitset row per vertex.
 const (
-	graphCodecVersion  = 2
+	graphCodecVersion  = 3
 	cliqueCodecVersion = 1
-)
-
-// Adjacency representation tags in the graph encoding.
-const (
-	adjNone        = 0 // cube-only graph, no edges yet
-	adjDense       = 1 // full V×V bitset rows
-	adjPartitioned = 2 // per-group blocks + cross-group conflict CSR
 )
 
 // EncodeGraph serializes g to the canonical binary artifact form. The
@@ -47,49 +41,18 @@ func EncodeGraph(g *Graph) []byte {
 	e.Int(g.CubesTotal)
 	e.Int(g.EdgeRowsDone)
 	e.Int(g.EdgeRowsTotal)
-	if g.vertPart == nil {
-		e.Bool(false)
-	} else {
-		e.Bool(true)
-		for _, p := range g.vertPart {
-			e.Varint(int64(p))
-		}
-	}
-	switch {
-	case g.pa != nil:
-		e.Uvarint(adjPartitioned)
-		pa := g.pa
-		e.Int(len(pa.groups))
-		for _, v := range pa.vgroup {
-			e.Varint(int64(v))
-		}
-		for _, block := range pa.blocks {
-			e.Words(block)
-		}
-		for _, off := range pa.conflictStart {
-			e.Varint(int64(off))
-		}
-		e.Int(len(pa.conflictIdx))
-		for _, j := range pa.conflictIdx {
-			e.Varint(int64(j))
-		}
-		e.Bool(pa.crossValid)
-	case g.adj != nil:
-		e.Uvarint(adjDense)
-		e.Int(g.words)
-		e.Int(len(g.adj))
-		for _, row := range g.adj {
-			e.Words(row)
-		}
-	default:
-		e.Uvarint(adjNone)
+	e.Bool(g.adj != nil)
+	for _, row := range g.adj {
+		e.Words(row)
 	}
 	return e.Finish()
 }
 
 // DecodeGraph reverses EncodeGraph, validating every structural
-// invariant (one cube per node, adjacency dimensions) so a corrupted
-// encoding cannot produce a graph that indexes out of range.
+// invariant (one cube per node, every cube as wide as the input list,
+// one row per vertex) and that every adjacency bit is an edge of the
+// cubes, so a corrupted encoding cannot produce a graph that indexes
+// out of range or mines a clique whose cubes conflict.
 func DecodeGraph(data []byte) (*Graph, error) {
 	d := artifact.NewDec(data)
 	if v := d.Uvarint(); v != graphCodecVersion {
@@ -121,6 +84,9 @@ func DecodeGraph(data []byte) (*Graph, error) {
 			if err != nil {
 				return nil, err
 			}
+			if c.Len() != nIn {
+				return nil, fmt.Errorf("compat: cube %d spans %d inputs, want %d", i, c.Len(), nIn)
+			}
 			g.Cubes = append(g.Cubes, c)
 		}
 	}
@@ -130,36 +96,23 @@ func DecodeGraph(data []byte) (*Graph, error) {
 	g.EdgeRowsDone = d.Int()
 	g.EdgeRowsTotal = d.Int()
 	if d.Bool() && d.Err() == nil {
-		g.vertPart = make([]int32, len(g.Nodes))
-		for i := range g.vertPart {
-			g.vertPart[i] = int32(d.Varint())
-		}
-	}
-	switch kind := d.Uvarint(); kind {
-	case adjNone:
-	case adjDense:
-		g.words = d.Int()
-		rows := d.Int()
-		if d.Err() == nil && (rows != len(g.Nodes) || g.words != (len(g.Nodes)+63)/64) {
-			return nil, fmt.Errorf("compat: adjacency %d rows x %d words for %d nodes", rows, g.words, len(g.Nodes))
-		}
-		if d.Err() == nil {
-			g.adj = make([][]uint64, rows)
-			for i := range g.adj {
-				row := d.Words()
-				if d.Err() == nil && len(row) != g.words {
-					return nil, fmt.Errorf("compat: adjacency row %d has %d words, want %d", i, len(row), g.words)
-				}
-				g.adj[i] = row
+		v := len(g.Nodes)
+		g.words = (v + 63) / 64
+		g.adj = make([][]uint64, v)
+		for i := range g.adj {
+			row := d.Words()
+			if d.Err() != nil {
+				break
 			}
+			if len(row) != g.words {
+				return nil, fmt.Errorf("compat: adjacency row %d has %d words, want %d", i, len(row), g.words)
+			}
+			g.adj[i] = row
 		}
-	case adjPartitioned:
-		if err := decodePartAdj(d, g); err != nil {
-			return nil, err
-		}
-	default:
 		if d.Err() == nil {
-			return nil, fmt.Errorf("compat: unknown adjacency kind %d", kind)
+			if err := g.checkAdjacency(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := d.Finish(); err != nil {
@@ -168,86 +121,36 @@ func DecodeGraph(data []byte) (*Graph, error) {
 	return g, nil
 }
 
-// decodePartAdj reads the partitioned adjacency payload, rebuilding the
-// derived structures (group membership, block geometry, other-group
-// masks) from the encoded vgroup list and validating every dimension so
-// a corrupted encoding cannot index out of range.
-func decodePartAdj(d *artifact.Dec, g *Graph) error {
+// checkAdjacency reports the first adjacency bit that is not an edge
+// of the cubes: past the vertex count, on the diagonal, or between
+// vertices whose cubes conflict. A graph from an interrupted build holds
+// a subset of the edges and passes.
+func (g *Graph) checkAdjacency() error {
 	v := len(g.Nodes)
-	g.words = (v + 63) / 64
-	nGroups := d.Int()
-	if d.Err() == nil && (nGroups < 0 || nGroups > v || (v > 0 && nGroups == 0)) {
-		return fmt.Errorf("compat: partitioned adjacency claims %d groups for %d nodes", nGroups, v)
+	if v == 0 {
+		return nil
 	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	pa := &partAdj{
-		groups:        make([][]int32, nGroups),
-		vgroup:        make([]int32, v),
-		vindex:        make([]int32, v),
-		bw:            make([]int32, nGroups),
-		blocks:        make([][]uint64, nGroups),
-		otherMask:     make([][]uint64, nGroups),
-		conflictStart: make([]int32, v+1),
-	}
-	for i := 0; i < v; i++ {
-		gr := d.Varint()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if gr < 0 || gr >= int64(nGroups) {
-			return fmt.Errorf("compat: vertex %d in group %d of %d", i, gr, nGroups)
-		}
-		pa.vgroup[i] = int32(gr)
-		pa.vindex[i] = int32(len(pa.groups[gr]))
-		pa.groups[gr] = append(pa.groups[gr], int32(i))
-	}
-	for gr := 0; gr < nGroups; gr++ {
-		m := len(pa.groups[gr])
-		pa.bw[gr] = int32((m + 63) / 64)
-		pa.blocks[gr] = d.Words()
-		if d.Err() == nil && len(pa.blocks[gr]) != m*int(pa.bw[gr]) {
-			return fmt.Errorf("compat: group %d block has %d words, want %d", gr, len(pa.blocks[gr]), m*int(pa.bw[gr]))
-		}
-		mask := make([]uint64, g.words)
-		for j := 0; j < v; j++ {
-			if pa.vgroup[j] != int32(gr) {
-				mask[j/64] |= 1 << uint(j%64)
+	colOf, cols := columnIndex(g.Cubes, g.words)
+	full := make([]uint64, g.words)
+	for i, row := range g.adj {
+		clear(full)
+		compatRow(full, i, v, g.Cubes[i], colOf, cols)
+		for x, w := range row {
+			extra := w &^ full[x]
+			if extra == 0 {
+				continue
+			}
+			switch j := x*64 + bits.TrailingZeros64(extra); {
+			case j >= v:
+				return fmt.Errorf("compat: adjacency row %d sets bit %d past %d vertices", i, j, v)
+			case j == i:
+				return fmt.Errorf("compat: adjacency row %d joins vertex %d to itself", i, i)
+			default:
+				return fmt.Errorf("compat: adjacency row %d joins vertex %d, whose cube conflicts", i, j)
 			}
 		}
-		pa.otherMask[gr] = mask
 	}
-	prev := int64(0)
-	for i := range pa.conflictStart {
-		off := d.Varint()
-		if d.Err() == nil && (off < prev || off > int64(v)*int64(v)) {
-			return fmt.Errorf("compat: conflict offsets not monotonic at %d", i)
-		}
-		pa.conflictStart[i] = int32(off)
-		prev = off
-	}
-	nc := d.Int()
-	if d.Err() == nil && (nc < 0 || int32(nc) != pa.conflictStart[v]) {
-		return fmt.Errorf("compat: %d conflict entries, offsets claim %d", nc, pa.conflictStart[v])
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	pa.conflictIdx = make([]int32, nc)
-	for i := range pa.conflictIdx {
-		j := d.Varint()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if j < 0 || j >= int64(v) {
-			return fmt.Errorf("compat: conflict entry %d references vertex %d of %d", i, j, v)
-		}
-		pa.conflictIdx[i] = int32(j)
-	}
-	pa.crossValid = d.Bool()
-	g.pa = pa
-	return d.Err()
+	return nil
 }
 
 // EncodeCliques serializes a mined clique list in order, preserving the

@@ -84,12 +84,10 @@ type BuildConfig struct {
 	// Partitions splits the netlist into fanout-cone partitions
 	// (part.Build) — the scale path for SoC-sized designs. Cube
 	// generation justifies each rare node inside its owning partition's
-	// TFI-closed sub-netlist, and the adjacency is stored as dense
-	// per-partition blocks plus a sparse cross-partition conflict list
-	// instead of one dense V×V bitset. 0 or 1 keeps the whole-netlist
-	// engine and dense adjacency. Like Workers, the graph — vertices,
-	// cubes, edge set, and everything mined from it — is bit-identical
-	// for any partition count; only the representation changes.
+	// TFI-closed sub-netlist; 0 or 1 keeps the whole-netlist engine.
+	// Edge construction and the adjacency do not depend on it. Like
+	// Workers, the graph — vertices, cubes, edge set, and everything
+	// mined from it — is bit-identical for any partition count.
 	Partitions int
 	// Progress, if non-nil, is called with (candidates processed,
 	// total candidates) as cube generation advances — per candidate on
@@ -126,17 +124,8 @@ type Graph struct {
 	// CubeTime and EdgeTime break down construction time.
 	CubeTime, EdgeTime time.Duration
 
-	adj   [][]uint64 // dense bitset adjacency rows (nil when partitioned)
-	words int        // words per full-width adjacency row
-
-	// vertPart maps each vertex to the netlist partition that owns its
-	// rare node (nil when cubes were built unpartitioned). Recorded by
-	// the partitioned BuildCubes so ConnectEdges can group vertices
-	// whose cubes share input support without re-deriving the plan.
-	vertPart []int32
-	// pa is the partitioned adjacency (nil when dense): dense
-	// per-partition blocks plus a sparse cross-partition conflict list.
-	pa *partAdj
+	adj   [][]uint64 // bitset adjacency rows (nil before ConnectEdges)
+	words int        // words per adjacency row
 }
 
 // Build runs PODEM for every rare node and assembles the graph.
@@ -245,13 +234,9 @@ func (g *Graph) ConnectEdges(ctx context.Context, cfg BuildConfig) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Partitions > 1 && g.vertPart != nil {
-		return g.connectEdgesPartitioned(ctx, workers)
-	}
 	t1 := time.Now()
 	v := len(g.Nodes)
 	g.words = (v + 63) / 64
-	g.pa = nil
 	g.adj = make([][]uint64, v)
 	slab := make([]uint64, v*g.words)
 	for i := range g.adj {
@@ -274,38 +259,15 @@ func (g *Graph) ConnectEdges(ctx context.Context, cfg BuildConfig) error {
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return len(g.Nodes) }
 
-// row materializes vertex i's full-width adjacency row. The dense form
-// returns its stored row directly (no copy); the partitioned form
-// expands into buf (len g.words) and returns it. Callers must treat
-// the result as read-only and consumed before the next row call on the
-// same buf. Identical row content across representations is what makes
-// mining bit-identical for any partition count.
-func (g *Graph) row(i int, buf []uint64) []uint64 {
-	if g.pa == nil {
-		return g.adj[i]
-	}
-	g.pa.materialize(i, buf)
-	return buf
-}
-
 // Compatible reports whether vertices i and j are adjacent.
 func (g *Graph) Compatible(i, j int) bool {
-	if g.pa != nil {
-		return g.pa.compatible(i, j)
-	}
 	return g.adj[i][j/64]&(1<<uint(j%64)) != 0
 }
 
 // Degree returns the number of neighbours of vertex i.
 func (g *Graph) Degree(i int) int {
-	var row []uint64
-	if g.pa != nil {
-		row = g.row(i, make([]uint64, g.words))
-	} else {
-		row = g.adj[i]
-	}
 	d := 0
-	for _, w := range row {
+	for _, w := range g.adj[i] {
 		d += bits.OnesCount64(w)
 	}
 	return d
@@ -314,17 +276,8 @@ func (g *Graph) Degree(i int) int {
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int {
 	total := 0
-	if g.pa != nil {
-		buf := make([]uint64, g.words)
-		for i := range g.Nodes {
-			for _, w := range g.row(i, buf) {
-				total += bits.OnesCount64(w)
-			}
-		}
-	} else {
-		for i := range g.adj {
-			total += g.Degree(i)
-		}
+	for i := range g.adj {
+		total += g.Degree(i)
 	}
 	return total / 2
 }
@@ -442,7 +395,6 @@ func (g *Graph) FindCliquesContext(ctx context.Context, cfg MineConfig) (out []C
 	defer func() { met.cliquesFound.Add(int64(len(out))) }()
 	seen := make(map[string]bool)
 	cand := make([]uint64, g.words)
-	rowBuf := make([]uint64, g.words) // scratch for partitioned row materialization
 	ctxDone := ctx.Done()
 	dupStreak := 0
 
@@ -458,14 +410,14 @@ func (g *Graph) FindCliquesContext(ctx context.Context, cfg MineConfig) (out []C
 		met.cliqueAttempts.Inc()
 		start := rng.Intn(v)
 		clique := []int{start}
-		copy(cand, g.row(start, rowBuf))
+		copy(cand, g.adj[start])
 		for {
 			pick, ok := randomSetBit(cand, rng)
 			if !ok {
 				break
 			}
 			clique = append(clique, pick)
-			andInto(cand, g.row(pick, rowBuf))
+			andInto(cand, g.adj[pick])
 		}
 		if len(clique) < cfg.MinSize {
 			continue
@@ -500,10 +452,6 @@ func (g *Graph) EnumerateExact(minSize, max int) []Clique {
 	if v == 0 {
 		return nil
 	}
-	// Bron–Kerbosch reads adjacency rows pervasively; densify a
-	// partitioned graph first (exact enumeration is a small-graph tool,
-	// so the dense blow-up is irrelevant).
-	g.densify()
 	r := make([]uint64, g.words)
 	p := make([]uint64, g.words)
 	x := make([]uint64, g.words)

@@ -31,7 +31,7 @@ y1 = OR(g1, g2)
 y2 = OR(g3, g4)
 `
 
-func buildGraph(t *testing.T, src string, th float64) (*netlist.Netlist, *rare.Set, *Graph) {
+func buildGraph(t testing.TB, src string, th float64) (*netlist.Netlist, *rare.Set, *Graph) {
 	t.Helper()
 	n, err := bench.ParseString(src, "t")
 	if err != nil {

@@ -37,9 +37,8 @@ func graphDigests(g *Graph) (cubes, adj string) {
 	}
 	fmt.Fprintf(hc, "dropped %d\n", g.Dropped)
 	ha := sha256.New()
-	buf := make([]uint64, g.words)
-	for i := 0; i < g.NumVertices(); i++ {
-		for _, w := range g.row(i, buf) {
+	for _, row := range g.adj {
+		for _, w := range row {
 			binary.LittleEndian.PutUint64(enc[:], w)
 			ha.Write(enc[:])
 		}

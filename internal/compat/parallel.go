@@ -172,10 +172,6 @@ func (g *Graph) buildEdges(ctx context.Context, workers int) error {
 	}
 	words := g.words
 	colOf, cols := columnIndex(g.Cubes, words)
-	last := ^uint64(0)
-	if r := v % 64; r != 0 {
-		last = 1<<uint(r) - 1
-	}
 
 	done := make([]bool, v)
 	var cursor atomic.Int64
@@ -206,23 +202,7 @@ func (g *Graph) buildEdges(ctx context.Context, workers int) error {
 					if i >= v {
 						return nil
 					}
-					row := g.adj[i]
-					g.Cubes[i].ForEachCare(func(p int, val sim.V3) {
-						// The opposing column: cubes with 0 where i has
-						// 1, and vice versa.
-						k := 2 * int(colOf[p])
-						if val == sim.V3Zero {
-							k++
-						}
-						for x, c := range cols[k*words : (k+1)*words] {
-							row[x] |= c
-						}
-					})
-					for x := range row {
-						row[x] = ^row[x]
-					}
-					row[words-1] &= last
-					row[i/64] &^= 1 << uint(i%64)
+					compatRow(g.adj[i], i, v, g.Cubes[i], colOf, cols)
 					done[i] = true
 				}
 			}))
@@ -297,4 +277,29 @@ func columnIndex(cubes []atpg.Cube, words int) (colOf []int32, cols []uint64) {
 		})
 	}
 	return colOf, cols
+}
+
+// compatRow writes vertex i's complete adjacency row into the zeroed
+// row: the complement of the columns opposing the cube's care bits,
+// masked to the v vertices and without i itself.
+func compatRow(row []uint64, i, v int, cube atpg.Cube, colOf []int32, cols []uint64) {
+	words := len(row)
+	cube.ForEachCare(func(p int, val sim.V3) {
+		// The opposing column: cubes with 0 where i has 1, and vice
+		// versa.
+		k := 2 * int(colOf[p])
+		if val == sim.V3Zero {
+			k++
+		}
+		for x, c := range cols[k*words : (k+1)*words] {
+			row[x] |= c
+		}
+	})
+	for x := range row {
+		row[x] = ^row[x]
+	}
+	if r := v % 64; r != 0 {
+		row[words-1] &= 1<<uint(r) - 1
+	}
+	row[i/64] &^= 1 << uint(i%64)
 }

@@ -3,11 +3,8 @@ package compat
 import (
 	"context"
 	"fmt"
-	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cghti/internal/atpg"
 	"cghti/internal/chaos"
@@ -19,115 +16,18 @@ import (
 	"cghti/internal/stage"
 )
 
-// This file is the BuildConfig.Partitions > 1 path of graph
-// construction — the scale path for SoC-sized netlists.
-//
-// Cube generation: each rare node is justified inside the TFI-closed
-// sub-netlist of the partition that owns it. PODEM's justify mode is
-// TFI-local (the objective never leaves the target's fanin cone, and
-// the SCOAP controllabilities backtrace consults are forward measures
-// over that same cone), so the per-partition cube — remapped from the
-// sub-netlist's input positions to the global CombInputs coordinate
-// system — is bit-for-bit the cube the whole-netlist engine would have
-// produced. Block-sized engines also make construction cheap: engine
-// setup is linear in the sub-netlist, not the SoC.
-//
-// Adjacency: instead of one dense V×V bitset, vertices are grouped by
-// owning partition. Within a group the adjacency is a dense bitset
-// block (cubes over the same cone conflict often — dense pays off);
-// across groups only CONFLICTS are stored, as a sorted per-vertex list
-// (cubes from different cones have near-disjoint input support, so
-// conflicts are the rare case and compatibility is the default). A
-// support-interval test (atpg.CareBounds) skips most cross pairs in
-// O(1). Interruption stays sound in both halves: missing intra bits
-// under-approximate directly, and the complement-coded cross half is
-// gated by crossValid — an incomplete conflict list is never consulted,
-// cross pairs simply report incompatible.
-
-// partAdj is the partitioned adjacency representation.
-type partAdj struct {
-	groups [][]int32  // group -> member vertices, ascending
-	vgroup []int32    // vertex -> group
-	vindex []int32    // vertex -> index within its group block
-	bw     []int32    // group -> words per block row
-	blocks [][]uint64 // group -> dense intra-group bitset, rows concatenated
-
-	// otherMask[g] is the full-width bitset of every vertex outside
-	// group g — the starting point for row materialization under the
-	// compatible-by-default cross coding.
-	otherMask [][]uint64
-
-	// conflictStart/conflictIdx form a per-vertex CSR of cross-group
-	// conflicts, each list sorted ascending; symmetric (a conflict
-	// appears in both endpoints' lists). Only meaningful when
-	// crossValid; an interrupted cross pass leaves crossValid false and
-	// every cross pair reports incompatible (sound under-approximation).
-	conflictStart []int32
-	conflictIdx   []int32
-	crossValid    bool
-}
-
-func (pa *partAdj) blockRow(i int) []uint64 {
-	g := pa.vgroup[i]
-	w := int(pa.bw[g])
-	off := int(pa.vindex[i]) * w
-	return pa.blocks[g][off : off+w]
-}
-
-func (pa *partAdj) compatible(i, j int) bool {
-	if pa.vgroup[i] == pa.vgroup[j] {
-		k := pa.vindex[j]
-		return pa.blockRow(i)[k/64]&(1<<uint(k%64)) != 0
-	}
-	if !pa.crossValid {
-		return false
-	}
-	lst := pa.conflictIdx[pa.conflictStart[i]:pa.conflictStart[i+1]]
-	x := sort.Search(len(lst), func(k int) bool { return lst[k] >= int32(j) })
-	return x >= len(lst) || lst[x] != int32(j)
-}
-
-// materialize expands vertex i's adjacency into the full-width bitset
-// buf. The content equals the dense representation's row exactly — the
-// contract g.row depends on.
-func (pa *partAdj) materialize(i int, buf []uint64) {
-	g := pa.vgroup[i]
-	if pa.crossValid {
-		copy(buf, pa.otherMask[g])
-		for _, j := range pa.conflictIdx[pa.conflictStart[i]:pa.conflictStart[i+1]] {
-			buf[j/64] &^= 1 << uint(j%64)
-		}
-	} else {
-		for k := range buf {
-			buf[k] = 0
-		}
-	}
-	members := pa.groups[g]
-	for wi, word := range pa.blockRow(i) {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			j := members[wi*64+b]
-			buf[j/64] |= 1 << uint(j%64)
-			word &= word - 1
-		}
-	}
-}
-
-// densify converts a partitioned graph to the dense representation in
-// place (no-op when already dense). Row content is preserved exactly.
-func (g *Graph) densify() {
-	if g.pa == nil {
-		return
-	}
-	v := len(g.Nodes)
-	adj := make([][]uint64, v)
-	for i := 0; i < v; i++ {
-		adj[i] = make([]uint64, g.words)
-		g.pa.materialize(i, adj[i])
-	}
-	g.adj = adj
-	g.pa = nil
-}
+// This file is the BuildConfig.Partitions > 1 path of cube generation
+// — the scale path for SoC-sized netlists. Each rare node is justified
+// inside the TFI-closed sub-netlist of the partition that owns it.
+// PODEM's justify mode is TFI-local (the objective never leaves the
+// target's fanin cone, and the SCOAP controllabilities backtrace
+// consults are forward measures over that same cone), so the
+// per-partition cube — remapped from the sub-netlist's input positions
+// to the global CombInputs coordinate system — is bit-for-bit the cube
+// the whole-netlist engine would have produced. Block-sized engines
+// also make construction cheap: engine setup is linear in the
+// sub-netlist, not the SoC. Edges are built by the same column kernel
+// (buildEdges) whatever the partition count.
 
 // buildCubesPartitioned justifies every candidate inside its owning
 // partition's sub-netlist. It mirrors buildCubesParallel's batch
@@ -331,226 +231,6 @@ func (g *Graph) buildCubesPartitioned(ctx context.Context, n *netlist.Netlist, c
 		}
 		g.Nodes = append(g.Nodes, candidates[i])
 		g.Cubes = append(g.Cubes, results[i].cube)
-		g.vertPart = append(g.vertPart, plan.Owner[candidates[i].ID])
 	}
-	return runErr
-}
-
-// connectEdgesPartitioned fills the partitioned adjacency: dense intra-
-// group blocks (work unit: group), then the sparse cross-group conflict
-// pass (work unit: vertex row). Progress units are group blocks plus
-// cross rows. The edge SET equals the dense path's exactly; only the
-// storage differs.
-func (g *Graph) connectEdgesPartitioned(ctx context.Context, workers int) error {
-	t1 := time.Now()
-	v := len(g.Nodes)
-	g.adj = nil
-	g.words = (v + 63) / 64
-
-	// Compact the (possibly sparse) partition ids into dense group
-	// numbers, preserving numeric order.
-	seen := map[int32]bool{}
-	var ids []int32
-	for _, p := range g.vertPart {
-		if !seen[p] {
-			seen[p] = true
-			ids = append(ids, p)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	gid := make(map[int32]int32, len(ids))
-	for i, p := range ids {
-		gid[p] = int32(i)
-	}
-	nGroups := len(ids)
-
-	pa := &partAdj{
-		groups:        make([][]int32, nGroups),
-		vgroup:        make([]int32, v),
-		vindex:        make([]int32, v),
-		bw:            make([]int32, nGroups),
-		blocks:        make([][]uint64, nGroups),
-		otherMask:     make([][]uint64, nGroups),
-		conflictStart: make([]int32, v+1),
-	}
-	for i := 0; i < v; i++ {
-		gr := gid[g.vertPart[i]]
-		pa.vgroup[i] = gr
-		pa.vindex[i] = int32(len(pa.groups[gr]))
-		pa.groups[gr] = append(pa.groups[gr], int32(i))
-	}
-	for gr := 0; gr < nGroups; gr++ {
-		m := len(pa.groups[gr])
-		pa.bw[gr] = int32((m + 63) / 64)
-		pa.blocks[gr] = make([]uint64, m*int(pa.bw[gr]))
-		mask := make([]uint64, g.words)
-		for j := 0; j < v; j++ {
-			if pa.vgroup[j] != int32(gr) {
-				mask[j/64] |= 1 << uint(j%64)
-			}
-		}
-		pa.otherMask[gr] = mask
-	}
-	g.pa = pa
-
-	g.EdgeRowsTotal = nGroups + v
-	g.EdgeRowsDone = 0
-
-	// Support intervals for the O(1) cross-pair skip.
-	type bound struct{ lo, hi int32 }
-	bnd := make([]bound, v)
-	for i := range g.Cubes {
-		lo, hi := g.Cubes[i].CareBounds()
-		bnd[i] = bound{int32(lo), int32(hi)}
-	}
-
-	met := metersCtx(ctx)
-	var runErr error
-	var errOnce sync.Once
-	setErr := func(err error) {
-		if err != nil {
-			errOnce.Do(func() { runErr = err })
-		}
-	}
-	ctxDone := ctx.Done()
-	var unitsDone atomic.Int64
-
-	// Phase 1: intra-group dense blocks. Each group is one work unit —
-	// a single worker owns the whole block, so the symmetric bit pair
-	// needs no synchronization. An interrupted block keeps the rows set
-	// so far; unset bits only hide edges (sound).
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			setErr(obs.Guard(stage.GraphEdges, w, func() error {
-				for {
-					select {
-					case <-ctxDone:
-						return ctx.Err()
-					default:
-					}
-					if err := chaos.Hit(stage.GraphEdges, w); err != nil {
-						return err
-					}
-					gr := int(cursor.Add(1)) - 1
-					if gr >= nGroups {
-						return nil
-					}
-					members := pa.groups[gr]
-					bwg := int(pa.bw[gr])
-					block := pa.blocks[gr]
-					for r := 0; r < len(members); r++ {
-						for q := r + 1; q < len(members); q++ {
-							if !g.Cubes[members[r]].Conflicts(g.Cubes[members[q]]) {
-								block[r*bwg+q/64] |= 1 << uint(q%64)
-								block[q*bwg+r/64] |= 1 << uint(r%64)
-							}
-						}
-					}
-					unitsDone.Add(1)
-				}
-			}))
-		}(w)
-	}
-	wg.Wait()
-
-	// Phase 2: cross-group conflicts. Skipped entirely after a phase-1
-	// error — crossValid stays false and cross pairs report
-	// incompatible, the sound default.
-	if runErr == nil && v > 0 {
-		found := make([][][2]int32, workers)
-		var rowCursor atomic.Int64
-		var rowsDone atomic.Int64
-		var wg2 sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg2.Add(1)
-			go func(w int) {
-				defer wg2.Done()
-				var local [][2]int32
-				setErr(obs.Guard(stage.GraphEdges, w, func() error {
-					for {
-						select {
-						case <-ctxDone:
-							return ctx.Err()
-						default:
-						}
-						if err := chaos.Hit(stage.GraphEdges, w); err != nil {
-							return err
-						}
-						i := int(rowCursor.Add(1)) - 1
-						if i >= v {
-							return nil
-						}
-						bi := bnd[i]
-						if bi.lo >= 0 {
-							gi := pa.vgroup[i]
-							ci := g.Cubes[i]
-							for j := i + 1; j < v; j++ {
-								if pa.vgroup[j] == gi {
-									continue
-								}
-								bj := bnd[j]
-								// Disjoint input support cannot conflict.
-								if bj.lo < 0 || bi.hi < bj.lo || bj.hi < bi.lo {
-									continue
-								}
-								if ci.Conflicts(g.Cubes[j]) {
-									local = append(local, [2]int32{int32(i), int32(j)})
-								}
-							}
-						}
-						rowsDone.Add(1)
-						unitsDone.Add(1)
-					}
-				}))
-				found[w] = local
-			}(w)
-		}
-		wg2.Wait()
-		if runErr == nil && int(rowsDone.Load()) == v {
-			// Fold the per-worker conflict pairs into the symmetric
-			// per-vertex CSR, each list sorted for deterministic
-			// encoding and binary-search lookup.
-			counts := make([]int32, v+1)
-			total := 0
-			for _, local := range found {
-				for _, e := range local {
-					counts[e[0]+1]++
-					counts[e[1]+1]++
-					total += 2
-				}
-			}
-			for i := 0; i < v; i++ {
-				counts[i+1] += counts[i]
-			}
-			copy(pa.conflictStart, counts)
-			pa.conflictIdx = make([]int32, total)
-			fill := make([]int32, v)
-			add := func(a, b int32) {
-				pa.conflictIdx[counts[a]+fill[a]] = b
-				fill[a]++
-			}
-			for _, local := range found {
-				for _, e := range local {
-					add(e[0], e[1])
-					add(e[1], e[0])
-				}
-			}
-			for i := 0; i < v; i++ {
-				lst := pa.conflictIdx[pa.conflictStart[i]:pa.conflictStart[i+1]]
-				sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
-			}
-			pa.crossValid = true
-		}
-	}
-
-	g.EdgeRowsDone = int(unitsDone.Load())
-	g.EdgeTime = time.Since(t1)
-	met.pairChecks.Add(int64(v) * int64(v-1) / 2)
-	met.vertices.Set(int64(v))
-	met.edges.Set(int64(g.NumEdges()))
 	return runErr
 }

@@ -10,7 +10,7 @@ import (
 
 // socGraphFixture builds a hierarchical SoC, extracts rare nodes, and
 // returns the inputs for partition-determinism tests.
-func socGraphFixture(t *testing.T, gates int, seed int64) (ref *Graph, build func(cfg BuildConfig) *Graph) {
+func socGraphFixture(t testing.TB, gates int, seed int64) (ref *Graph, build func(cfg BuildConfig) *Graph) {
 	t.Helper()
 	n, err := gen.SoC(gen.SoCSpec{Gates: gates, Seed: seed})
 	if err != nil {
@@ -37,14 +37,11 @@ func socGraphFixture(t *testing.T, gates int, seed int64) (ref *Graph, build fun
 
 // TestBuildPartitionsIdentical is the scale-path determinism contract:
 // for any partition count the graph has identical vertices, cubes, and
-// edge relation — only the adjacency storage differs.
+// edge relation.
 func TestBuildPartitionsIdentical(t *testing.T) {
 	ref, build := socGraphFixture(t, 3000, 21)
 	for _, parts := range []int{2, 6} {
 		got := build(BuildConfig{Partitions: parts, Workers: 4})
-		if got.pa == nil || got.adj != nil {
-			t.Fatalf("partitions=%d: expected partitioned adjacency representation", parts)
-		}
 		if got.NumVertices() != ref.NumVertices() {
 			t.Fatalf("partitions=%d: %d vertices, want %d", parts, got.NumVertices(), ref.NumVertices())
 		}
@@ -71,30 +68,6 @@ func TestBuildPartitionsIdentical(t *testing.T) {
 	}
 }
 
-// TestPartitionedRowsMatchDense pins the row-materialization contract
-// mining depends on: a partitioned graph's expanded rows equal the
-// dense representation's rows word for word, and densify converts in
-// place without changing any row.
-func TestPartitionedRowsMatchDense(t *testing.T) {
-	ref, build := socGraphFixture(t, 3000, 21)
-	got := build(BuildConfig{Partitions: 4, Workers: 2})
-	buf := make([]uint64, got.words)
-	for i := 0; i < ref.NumVertices(); i++ {
-		if !reflect.DeepEqual(got.row(i, buf), ref.adj[i]) {
-			t.Fatalf("materialized row %d differs from dense row", i)
-		}
-	}
-	got.densify()
-	if got.pa != nil || len(got.adj) != ref.NumVertices() {
-		t.Fatal("densify did not convert the representation")
-	}
-	for i := range got.adj {
-		if !reflect.DeepEqual(got.adj[i], ref.adj[i]) {
-			t.Fatalf("densified row %d differs from dense row", i)
-		}
-	}
-}
-
 // TestPartitionedMiningIdentical runs the randomized miner and the
 // exact enumerator on dense and partitioned graphs built from the same
 // inputs: identical seeds must yield identical cliques.
@@ -113,34 +86,5 @@ func TestPartitionedMiningIdentical(t *testing.T) {
 	gotEx := got.EnumerateExact(2, 16)
 	if !reflect.DeepEqual(gotEx, refEx) {
 		t.Fatalf("exact enumeration differs: %d cliques vs %d", len(gotEx), len(refEx))
-	}
-}
-
-// TestPartitionedGraphCodecRoundTrip round-trips a partitioned graph
-// through the v2 codec and checks the decoded adjacency answers exactly
-// like the original.
-func TestPartitionedGraphCodecRoundTrip(t *testing.T) {
-	_, build := socGraphFixture(t, 3000, 21)
-	g := build(BuildConfig{Partitions: 4, Workers: 2})
-	dec, err := DecodeGraph(EncodeGraph(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.pa == nil {
-		t.Fatal("decoded graph lost its partitioned adjacency")
-	}
-	if !reflect.DeepEqual(dec.vertPart, g.vertPart) {
-		t.Fatal("decoded vertPart differs")
-	}
-	if dec.NumVertices() != g.NumVertices() || dec.NumEdges() != g.NumEdges() {
-		t.Fatalf("decoded graph %d vertices / %d edges, want %d / %d",
-			dec.NumVertices(), dec.NumEdges(), g.NumVertices(), g.NumEdges())
-	}
-	for i := 0; i < g.NumVertices(); i++ {
-		for j := i + 1; j < g.NumVertices(); j++ {
-			if dec.Compatible(i, j) != g.Compatible(i, j) {
-				t.Fatalf("decoded edge (%d,%d) differs", i, j)
-			}
-		}
 	}
 }

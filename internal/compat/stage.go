@@ -48,18 +48,17 @@ func (s *CubeStage) Salvage(out pipeline.Artifact) (done, total int, detail stri
 }
 
 // CacheConfig implements pipeline.Cacheable. Workers and Partitions
-// are excluded (identical output for any count — partitioning changes
-// only the adjacency representation, and both representations decode
-// from the v2 codec); the effective PODEM budget is normalized so 0
-// and the explicit default fingerprint equally. The v2 tag reflects
-// the serialized form change (graph codec v2), not a semantic change.
+// are excluded (identical cubes for any count — partitioning changes
+// only which PODEM engine justifies a node); the effective PODEM budget
+// is normalized so 0 and the explicit default fingerprint equally. The
+// v3 tag tracks the graph codec bump, not a semantic change.
 func (s *CubeStage) CacheConfig() []byte {
 	maxBT := s.Cfg.MaxBacktracks
 	if maxBT <= 0 {
 		maxBT = atpg.DefaultMaxBacktracks
 	}
 	e := artifact.NewEnc()
-	e.String("compat.cubes.v2")
+	e.String("compat.cubes.v3")
 	e.Int(maxBT)
 	e.Int(s.Cfg.MaxNodes)
 	return e.Finish()
@@ -109,13 +108,11 @@ func (s *EdgeStage) Salvage(out pipeline.Artifact) (done, total int, detail stri
 }
 
 // CacheConfig implements pipeline.Cacheable: edge construction reads no
-// configuration beyond its input cubes (Workers and Partitions are both
-// determinism-neutral — a cached dense graph satisfies a partitioned
-// request and vice versa, since mining sees identical rows). The v2 tag
-// tracks the graph codec bump.
+// configuration beyond its input cubes (Workers and Partitions do not
+// change the edges). The v3 tag tracks the graph codec bump.
 func (s *EdgeStage) CacheConfig() []byte {
 	e := artifact.NewEnc()
-	e.String("compat.edges.v2")
+	e.String("compat.edges.v3")
 	return e.Finish()
 }
 

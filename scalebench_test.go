@@ -1,6 +1,6 @@
 // Scale benchmarks: the million-gate path (streaming parse, arena
-// levelize, partitioned rare extraction, partitioned compatibility-edge
-// build) measured in gates/s at 10⁵ and 10⁶ gates on hierarchical
+// levelize, partitioned rare extraction, compatibility-edge build over
+// partitioned cubes) measured in gates/s at 10⁵ and 10⁶ gates on hierarchical
 // synthetic SoCs. Recorded as BENCH_scale.json by `make bench` (see
 // cmd/benchjson) so datapoints can be committed and diffed.
 //
@@ -153,6 +153,10 @@ func BenchmarkScaleRareExtract(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleEdgeBuild times ConnectEdges over cubes from the
+// partitioned cube generator. Partitions only chooses the PODEM engines
+// that produce the cubes; the edge pass is the same column kernel for
+// any partition count.
 func BenchmarkScaleEdgeBuild(b *testing.B) {
 	for _, pt := range scalePoints {
 		b.Run(pt.label, func(b *testing.B) {
